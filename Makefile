@@ -2,9 +2,9 @@
 # packages. `make` (or `make all`) is what CI runs.
 GO ?= go
 
-.PHONY: all vet build test race allocguard ratchet schedbench bench fuzz lint vuln
+.PHONY: all vet build test race allocguard ratchet benchcheck schedbench bench fuzz lint vuln
 
-all: vet build test race ratchet
+all: vet build test race ratchet benchcheck
 
 vet:
 	$(GO) vet ./...
@@ -40,10 +40,17 @@ ratchet:
 	$(GO) test -run 'TestOpsGateRatchet' ./cmd/rsinbench
 	$(GO) run ./cmd/rsinbench -sched -smoke -gategang -gatemulti
 
-# The instrumentation hot path must not allocate (disabled or enabled);
-# CI runs the same guard.
+# The instrumentation hot path must not allocate (disabled or enabled),
+# and the scalar and one-type vector spellings of a task must allocate
+# alike (one demand path); CI runs the same guard.
 allocguard:
-	$(GO) test -run 'TestDisabledObsAllocFree|TestNilInstruments|TestLiveInstrumentsAllocFree' ./internal/sched ./internal/obs
+	$(GO) test -run 'TestDisabledObsAllocFree|TestScalarVectorAllocParity|TestNilInstruments|TestLiveInstrumentsAllocFree' ./internal/sched ./internal/obs
+
+# The service benchmark (perfbench/) is its own module, so the root
+# `go test ./...` neither builds nor tests it; vet it and run its
+# self-tests so an API change in system or sched cannot break it unseen.
+benchcheck:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # Machine-readable scheduling-service benchmark (see EXPERIMENTS.md for
 # the BENCH_sched.json format), with the warm-start, tier-0 QoS,

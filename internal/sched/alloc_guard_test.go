@@ -54,3 +54,32 @@ func TestDisabledObsAllocFree(t *testing.T) {
 		t.Fatalf("instrumentation allocates on the hot path: %v allocs/round enabled vs %v disabled", enabled, disabled)
 	}
 }
+
+// TestScalarVectorAllocParity pins the one demand path: a scalar {Need: 1}
+// round and its one-type vector spelling {Needs: {0: 1}} lower to the same
+// demand at the API edge and then run the same code, so they allocate the
+// same.
+func TestScalarVectorAllocParity(t *testing.T) {
+	allocs := func(task system.Task) float64 {
+		s := newScheduler(t, Config{
+			BatchSize:  1,
+			FlushEvery: time.Hour,
+			Shards:     []system.Config{{Net: topology.Omega(8)}},
+		})
+		return testing.AllocsPerRun(200, func() {
+			h, err := s.Submit(0, task)
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-h.Done()
+			if err := s.EndService(h); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	scalar := allocs(system.Task{Proc: 0, Need: 1})
+	vector := allocs(system.Task{Proc: 0, Needs: map[int]int{0: 1}})
+	if d := scalar - vector; d > 0.5 || d < -0.5 {
+		t.Fatalf("scalar round allocates %v, vector round %v — the two spellings must share one path", scalar, vector)
+	}
+}

@@ -34,17 +34,16 @@ type GangSpec struct {
 // and read Resources(); pass the handle to EndGang when the gang finishes
 // computing.
 type GangHandle struct {
-	shard      int
-	gid        system.GangID
-	gen        int // shard restart generation the gang was admitted under
-	tier       int // most urgent member tier (trace + admission callers)
-	needTotal  int
-	needByType map[int]int
-	memberIDs  []system.TaskID
-	severs     int // atomic gang sever events; bounded by Config.SeverRetries
-	done       chan struct{}
-	res        [][]int // per member, written by the shard goroutine before done closes
-	err        error   // terminal error; written before done closes
+	shard     int
+	gid       system.GangID
+	gen       int           // shard restart generation the gang was admitted under
+	tier      int           // most urgent member tier (trace + admission callers)
+	demand    system.Demand // members' combined lowered demand
+	memberIDs []system.TaskID
+	severs    int // atomic gang sever events; bounded by Config.SeverRetries
+	done      chan struct{}
+	res       [][]int // per member, written by the shard goroutine before done closes
+	err       error   // terminal error; written before done closes
 
 	submitNano int64
 	grantNano  int64
@@ -93,10 +92,8 @@ func (s *Scheduler) SubmitGang(shard int, spec GangSpec) (*GangHandle, error) {
 		return nil, fmt.Errorf("sched: shard %d: a gang needs at least 2 members, got %d", shard, len(spec.Members))
 	}
 	seenProc := make(map[int]bool, len(spec.Members))
-	needByType := map[int]int{}
-	needTotal := 0
+	var demand system.Demand
 	tier := system.MaxTier + 1
-	members := make([]system.Task, len(spec.Members))
 	for i, t := range spec.Members {
 		if t.Proc < 0 || t.Proc >= sh.procs {
 			s.o.rejected.Inc()
@@ -113,53 +110,21 @@ func (s *Scheduler) SubmitGang(shard int, spec GangSpec) (*GangHandle, error) {
 				shard, t.Proc)
 		}
 		seenProc[t.Proc] = true
-		if t.Needs != nil {
-			// Typed member: aggregate the declared vector as-is. Defaulting
-			// Need here would hand the system an illegal Need+Needs task.
-			for ty, n := range t.Needs {
-				needByType[ty] += n
-				needTotal += n
-			}
-		} else {
-			if t.Need <= 0 {
-				t.Need = 1
-			}
-			needByType[t.Type] += t.Need
-			needTotal += t.Need
-		}
-		if t.Tier < tier {
-			tier = t.Tier
-		}
-		members[i] = t
+		demand = demand.Plus(system.Lower(t, sh.sysCfg.Types))
+		tier = min(tier, t.Tier)
 	}
 	// Degraded admission, gang-granular: members hold together, so the
 	// combined demand must fit the surviving capacity simultaneously.
-	sh.mu.Lock()
-	var tooBig bool
-	if sh.typeCount != nil {
-		for ty, n := range needByType {
-			if n > sh.usableByType[ty] {
-				tooBig = true
-				break
-			}
-		}
-	} else {
-		tooBig = needTotal > sh.usableTotal
+	if err := s.checkCensus(sh, demand); err != nil {
+		return nil, fmt.Errorf("sched: shard %d: gang %w", shard, err)
 	}
-	limit := sh.usableTotal
-	sh.mu.Unlock()
-	if tooBig {
-		s.o.rejected.Inc()
-		return nil, fmt.Errorf("sched: shard %d: gang needs %d resources together, surviving fabric has %d usable: %w",
-			shard, needTotal, limit, system.ErrUnsatisfiable)
-	}
-	gh := &GangHandle{
-		shard: shard, tier: tier, needTotal: needTotal, needByType: needByType,
-		done: make(chan struct{}),
-	}
+	gh := &GangHandle{shard: shard, tier: tier, demand: demand, done: make(chan struct{})}
 	if s.o.enabled {
 		gh.submitNano = nowNano()
 	}
+	// The shard goroutine reads the members later; the copy leaves the
+	// caller free to reuse its slice.
+	members := append([]system.Task(nil), spec.Members...)
 	if err := s.send(sh, op{kind: opSubmitGang, gang: gh, members: members}); err != nil {
 		return nil, err
 	}

@@ -172,7 +172,7 @@ type Stats struct {
 	GangSevers     int64 // atomic gang sever events (one per gang per fault event)
 
 	// Warm-start solver counters (MaxFlow discipline only; zero for the
-	// others and with Config.ColdSolve).
+	// others).
 	WarmSolves  int64 // cycles served from the persistent warm-start arena
 	ColdSolves  int64 // cycles that built the flow network from scratch
 	ArcsTouched int64 // arena arcs toggled by warm delta syncs
@@ -204,13 +204,11 @@ type Stats struct {
 type Handle struct {
 	shard  int
 	id     system.TaskID
-	gen    int // shard restart generation the task was admitted under
-	need   int         // declared total resource demand (for degraded-capacity rechecks)
-	typ    int         // declared resource type (scalar tasks)
-	needs  map[int]int // declared typed demand vector; nil for scalar tasks
-	tier   int // declared priority class, for the preemption policy
-	proc   int // submitting processor, for preemption route probes
-	severs int // units lost to faults or preemption; bounded by Config.SeverRetries
+	gen    int           // shard restart generation the task was admitted under
+	demand system.Demand // lowered demand vector (degraded-capacity rechecks)
+	tier   int           // declared priority class, for the preemption policy
+	proc   int           // submitting processor, for preemption route probes
+	severs int           // units lost to faults or preemption; bounded by Config.SeverRetries
 	done   chan struct{}
 	res    []int // resources held; written by the shard goroutine before done closes
 	err    error // terminal submission error; written before done closes
@@ -265,14 +263,13 @@ type op struct {
 // shard owns one System. Only the shard's goroutine touches sys, tracked
 // and dead; stats is the one structure shared with Stats() readers.
 type shard struct {
-	idx       int
-	sys       *system.System
-	sysCfg    system.Config // prepared config (obs threaded); supervisor rebuilds from it
-	procs     int
-	ress      int
-	typeCount map[int]int // resources per configured type; nil without Types
-	ops       chan op
-	tracked   map[system.TaskID]*Handle // provisioning not yet complete
+	idx     int
+	sys     *system.System
+	sysCfg  system.Config // prepared config (obs threaded); supervisor rebuilds from it
+	procs   int
+	ress    int
+	ops     chan op
+	tracked map[system.TaskID]*Handle // provisioning not yet complete
 	// Gang tracking: gangs by ID until their atomic grant completes, and
 	// the member-task index the fault path uses to charge a gang's sever
 	// budget once per event. Members never appear in tracked.
@@ -293,7 +290,6 @@ type shard struct {
 	// Degraded-capacity census, recomputed by the shard goroutine on
 	// each fault epoch and read by Submit's admission check (under mu).
 	usableByType map[int]int
-	usableTotal  int
 
 	// dead is the last resort: it is set only when a supervisor restart
 	// itself fails (the shard config no longer builds a System); the
@@ -367,22 +363,13 @@ func New(cfg Config) (*Scheduler, error) {
 			gangs:     make(map[system.GangID]*GangHandle),
 			gangTasks: make(map[system.TaskID]*GangHandle),
 		}
-		if sc.Types != nil {
-			sh.typeCount = make(map[int]int)
-			for _, ty := range sc.Types {
-				sh.typeCount[ty]++
-			}
-		}
 		sh.stats.Free = sc.Net.Ress
 		sh.usableByType = sh.sys.UsableResources()
-		for _, c := range sh.usableByType {
-			sh.usableTotal += c
-		}
-		sh.stats.Usable = sh.usableTotal
+		sh.stats.Usable = censusTotal(sh.usableByType)
 		sh.capEpoch = sh.sys.FaultEpoch()
 		sh.capOK = true
 		sh.lastFree = sh.stats.Free
-		sh.lastUsable = sh.usableTotal
+		sh.lastUsable = sh.stats.Usable
 		s.o.free.Add(int64(sh.lastFree))
 		s.o.usable.Add(int64(sh.lastUsable))
 		s.shards = append(s.shards, sh)
@@ -415,68 +402,15 @@ func (s *Scheduler) Submit(shard int, t system.Task) (*Handle, error) {
 		s.o.rejected.Inc()
 		return nil, fmt.Errorf("sched: shard %d: %w", shard, err)
 	}
-	need := t.Need
-	if t.Needs != nil {
-		need = 0
-		for _, n := range t.Needs {
-			need += n
-		}
-	} else if need <= 0 {
-		need = 1
+	// Admission: the lowered demand must fit the shard's usable census
+	// per type — resources lost to hardware faults, or stranded behind
+	// failed switchboxes, cannot complete an acquisition until repaired,
+	// and a type the fabric never stocked has a zero census entry.
+	d := system.Lower(t, sh.sysCfg.Types)
+	if err := s.checkCensus(sh, d); err != nil {
+		return nil, fmt.Errorf("sched: shard %d: task %w", shard, err)
 	}
-	if need > sh.ress {
-		s.o.rejected.Inc()
-		return nil, fmt.Errorf("sched: shard %d: task needs %d resources, shard has %d: %w",
-			shard, need, sh.ress, system.ErrUnsatisfiable)
-	}
-	if t.Needs == nil && sh.typeCount != nil && need > sh.typeCount[t.Type] {
-		s.o.rejected.Inc()
-		return nil, fmt.Errorf("sched: shard %d: task needs %d resources of type %d, shard has %d: %w",
-			shard, need, t.Type, sh.typeCount[t.Type], system.ErrUnsatisfiable)
-	}
-	// Degraded admission: the demand must also fit the shard's surviving
-	// capacity (resources lost to hardware faults, or stranded behind
-	// failed switchboxes, cannot complete an acquisition until repaired).
-	// Typed vectors check component-wise: every (type, count) entry must
-	// fit that type's surviving stock, which also rejects types the fabric
-	// never stocked (their census entry is zero).
-	if t.Needs != nil {
-		sh.mu.Lock()
-		for ty, n := range t.Needs {
-			if limit := sh.usableByType[ty]; n > limit {
-				sh.mu.Unlock()
-				s.o.rejected.Inc()
-				if s.o.trace != nil {
-					s.o.trace.Record(obs.Event{Kind: evReject, Shard: shard, Val: int64(n), Result: resUnsat})
-				}
-				return nil, fmt.Errorf("sched: shard %d: task needs %d resources of type %d, surviving fabric has %d usable: %w",
-					shard, n, ty, limit, system.ErrUnsatisfiable)
-			}
-		}
-		sh.mu.Unlock()
-	} else {
-		sh.mu.Lock()
-		limit := sh.usableTotal
-		if sh.typeCount != nil {
-			limit = sh.usableByType[t.Type]
-		}
-		sh.mu.Unlock()
-		if need > limit {
-			s.o.rejected.Inc()
-			if s.o.trace != nil {
-				s.o.trace.Record(obs.Event{Kind: evReject, Shard: shard, Val: int64(need), Result: resUnsat})
-			}
-			return nil, fmt.Errorf("sched: shard %d: task needs %d resources, surviving fabric has %d usable: %w",
-				shard, need, limit, system.ErrUnsatisfiable)
-		}
-	}
-	h := &Handle{shard: shard, need: need, typ: t.Type, tier: t.Tier, proc: t.Proc, done: make(chan struct{})}
-	if t.Needs != nil {
-		h.needs = make(map[int]int, len(t.Needs))
-		for ty, n := range t.Needs {
-			h.needs[ty] = n
-		}
-	}
+	h := &Handle{shard: shard, demand: d, tier: t.Tier, proc: t.Proc, done: make(chan struct{})}
 	if s.o.enabled {
 		h.submitNano = nowNano()
 	}
@@ -890,7 +824,7 @@ func (s *Scheduler) flush(sh *shard, buf []op) []op {
 					if s.o.enabled && o.h.grantNano != 0 {
 						s.o.grantReleaseMS.Observe(float64(nowNano()-o.h.grantNano) / 1e6)
 					}
-					s.event(sh, evService, int64(o.h.id), int64(o.h.need), "")
+					s.event(sh, evService, int64(o.h.id), int64(o.h.demand.Total()), "")
 				}
 			}
 			s.publish(sh, &epoch)
@@ -914,7 +848,7 @@ func (s *Scheduler) flush(sh *shard, buf []op) []op {
 			o.h.gen = sh.gen
 			sh.tracked[id] = o.h
 			epoch.Submitted++
-			s.event(sh, evSubmit, int64(id), int64(o.h.need), "")
+			s.event(sh, evSubmit, int64(id), int64(o.h.demand.Total()), "")
 		case opCancel:
 			h := o.h
 			if h.gen != sh.gen {
@@ -1325,13 +1259,9 @@ func (s *Scheduler) refreshCapacity(sh *shard, epoch *Stats) {
 		return
 	}
 	usable := sh.sys.UsableResources()
-	total := 0
-	for _, c := range usable {
-		total += c
-	}
+	total := censusTotal(usable)
 	sh.mu.Lock()
 	sh.usableByType = usable
-	sh.usableTotal = total
 	sh.stats.Usable = total
 	sh.mu.Unlock()
 	if s.o.enabled {
@@ -1340,37 +1270,16 @@ func (s *Scheduler) refreshCapacity(sh *shard, epoch *Stats) {
 	}
 	sh.capEpoch, sh.capOK = ep, true
 	for id, h := range sh.tracked {
-		var cause error
-		if h.needs != nil {
-			// Typed demand: every component must still fit its type's
-			// surviving stock — a single lost resource can strand one
-			// commodity while the others remain satisfiable.
-			for ty, n := range h.needs {
-				if n > usable[ty] {
-					cause = fmt.Errorf("sched: shard %d: task needs %d resources of type %d, surviving fabric has %d usable: %w",
-						sh.idx, n, ty, usable[ty], system.ErrUnsatisfiable)
-					break
-				}
-			}
-		} else {
-			limit := total
-			if sh.typeCount != nil {
-				limit = usable[h.typ]
-			}
-			if h.need > limit {
-				cause = fmt.Errorf("sched: shard %d: task needs %d resources, surviving fabric has %d usable: %w",
-					sh.idx, h.need, limit, system.ErrUnsatisfiable)
-			}
-		}
-		if cause == nil {
+		err := h.demand.Check(usable)
+		if err == nil {
 			continue
 		}
 		_ = sh.sys.Cancel(id)
 		delete(sh.tracked, id)
-		h.err = cause
+		h.err = fmt.Errorf("sched: shard %d: task %w", sh.idx, err)
 		h.finished = true
 		epoch.Failed++
-		s.event(sh, evFailed, int64(id), int64(h.need), resUnsat)
+		s.event(sh, evFailed, int64(id), int64(h.demand.Total()), resUnsat)
 		close(h.done)
 	}
 	// Gangs hold their units together, so the whole combined demand must
@@ -1378,33 +1287,48 @@ func (s *Scheduler) refreshCapacity(sh *shard, epoch *Stats) {
 	// activation gate (or worse, churn resets against capacity it can
 	// never reassemble).
 	for gid, gh := range sh.gangs {
-		exceeds := false
-		if sh.typeCount != nil {
-			for ty, n := range gh.needByType {
-				if n > usable[ty] {
-					exceeds = true
-					break
-				}
-			}
-		} else if gh.needTotal > total {
-			exceeds = true
-		}
-		if !exceeds {
+		err := gh.demand.Check(usable)
+		if err == nil {
 			continue
 		}
-		if err := sh.sys.CancelGang(gid); err != nil {
-			s.failShard(sh, fmt.Errorf("withdrawing unsatisfiable gang %d: %w", gid, err), epoch)
+		if cerr := sh.sys.CancelGang(gid); cerr != nil {
+			s.failShard(sh, fmt.Errorf("withdrawing unsatisfiable gang %d: %w", gid, cerr), epoch)
 			return
 		}
 		s.dropGang(sh, gh)
-		gh.err = fmt.Errorf("sched: shard %d: gang needs %d resources together, surviving fabric has %d usable: %w",
-			sh.idx, gh.needTotal, total, system.ErrUnsatisfiable)
+		gh.err = fmt.Errorf("sched: shard %d: gang %w", sh.idx, err)
 		gh.finished = true
 		epoch.Failed += int64(len(gh.memberIDs))
 		epoch.GangsFailed++
-		s.event(sh, evGangFailed, int64(gid), int64(gh.needTotal), resUnsat)
+		s.event(sh, evGangFailed, int64(gid), int64(gh.demand.Total()), resUnsat)
 		close(gh.done)
 	}
+}
+
+// checkCensus is the admission half of the census check, run on the
+// caller's goroutine against the shard's published usable census. A
+// rejection counts once in the rejected counter and records one reject
+// trace event carrying the total demand.
+func (s *Scheduler) checkCensus(sh *shard, d system.Demand) error {
+	sh.mu.Lock()
+	err := d.Check(sh.usableByType)
+	sh.mu.Unlock()
+	if err != nil {
+		s.o.rejected.Inc()
+		if s.o.trace != nil {
+			s.o.trace.Record(obs.Event{Kind: evReject, Shard: sh.idx, Val: int64(d.Total()), Result: resUnsat})
+		}
+	}
+	return err
+}
+
+// censusTotal sums a usable-by-type census (the Stats.Usable gauge).
+func censusTotal(usable map[int]int) int {
+	n := 0
+	for _, c := range usable {
+		n += c
+	}
+	return n
 }
 
 // failShard is the shard supervisor. The System reported an internal

@@ -2,7 +2,9 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -389,5 +391,149 @@ func TestTypedGangLifecycle(t *testing.T) {
 	}})
 	if !errors.Is(err, system.ErrUnsatisfiable) {
 		t.Fatalf("over-census typed gang error %v, want ErrUnsatisfiable", err)
+	}
+}
+
+// TestTypedGangCapacityErrorNamesType: a typed gang whose combined vector
+// fits the fabric's total capacity but not one type's census must be
+// refused with an error naming that type, its need and its usable count —
+// at SubmitGang and when a fault shrinks capacity under an admitted gang.
+func TestTypedGangCapacityErrorNamesType(t *testing.T) {
+	spec := GangSpec{Members: []system.Task{
+		{Proc: 0, Needs: map[int]int{0: 1, 1: 1}},
+		{Proc: 5, Needs: map[int]int{1: 1}},
+	}} // combined {0:1, 1:2}
+	const short = "gang needs 2 resources of type 1, fabric has 1 usable"
+
+	// Admission: seven type-0 units and one type-1 unit.
+	s := newScheduler(t, Config{Shards: []system.Config{
+		typedShard(topology.Omega(8), []int{0, 0, 0, 0, 0, 0, 0, 1}),
+	}})
+	_, err := s.SubmitGang(0, spec)
+	if !errors.Is(err, system.ErrUnsatisfiable) || !strings.Contains(err.Error(), short) {
+		t.Fatalf("SubmitGang error %v, want ErrUnsatisfiable naming %q", err, short)
+	}
+
+	// Capacity drop: two type-1 units, one held by a provisioned blocker so
+	// the gang cannot finish acquiring; failing the other one leaves one
+	// usable type-1 unit against the gang's two.
+	types := []int{0, 0, 0, 1, 0, 0, 0, 1}
+	s = newScheduler(t, Config{
+		Shards:     []system.Config{typedShard(topology.Omega(8), types)},
+		FlushEvery: 200 * time.Microsecond,
+	})
+	blocker, err := s.Submit(0, system.Task{Proc: 2, Needs: map[int]int{1: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, blocker, "type-1 blocker")
+	if blocker.Err() != nil {
+		t.Fatal(blocker.Err())
+	}
+	gh, err := s.SubmitGang(0, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := 3
+	if blocker.Resources()[0] == 3 {
+		other = 7
+	}
+	if err := s.FailResource(0, other); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-gh.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("typed gang not failed by per-type capacity drop")
+	}
+	if err := gh.Err(); !errors.Is(err, system.ErrUnsatisfiable) || !strings.Contains(err.Error(), short) {
+		t.Fatalf("gang error %v, want ErrUnsatisfiable naming %q", err, short)
+	}
+	if err := s.EndService(blocker); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUntypedScalarTypeThroughService: on a Hetero shard without
+// Config.Types every resource is type 0, so a scalar task naming another
+// type lowers to a type-0 demand and is granted — it must not sit admitted
+// and ungranted at its queue head.
+func TestUntypedScalarTypeThroughService(t *testing.T) {
+	s := newScheduler(t, Config{Shards: []system.Config{{Net: topology.Omega(8), Discipline: system.Hetero}}})
+	h, err := s.Submit(0, system.Task{Proc: 0, Type: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, h, "untyped scalar Type=2 task")
+	if h.Err() != nil || len(h.Resources()) != 1 {
+		t.Fatalf("err %v, resources %v; want one granted unit", h.Err(), h.Resources())
+	}
+	if err := s.EndService(h); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScalarVectorServiceParity: the scalar spelling {Need: n, Type: t} and
+// the one-type vector it lowers to meet the same service-level fate, with
+// the same error, at admission and on a capacity drop under a queued task.
+func TestScalarVectorServiceParity(t *testing.T) {
+	typed := []int{0, 0, 1, 1, 0, 0, 1, 1}
+	cases := []struct {
+		name           string
+		types          []int
+		scalar, vector system.Task
+		drop           bool // admitted, then failed by a capacity drop
+	}{
+		{"admission/over-total", nil,
+			system.Task{Proc: 0, Need: 9}, system.Task{Proc: 0, Needs: map[int]int{0: 9}}, false},
+		{"admission/over-type", typed,
+			system.Task{Proc: 0, Need: 5, Type: 1}, system.Task{Proc: 0, Needs: map[int]int{1: 5}}, false},
+		{"admission/unstocked", typed,
+			system.Task{Proc: 0, Type: 2}, system.Task{Proc: 0, Needs: map[int]int{2: 1}}, false},
+		{"admission/untyped-type", nil,
+			system.Task{Proc: 0, Need: 2, Type: 2}, system.Task{Proc: 0, Needs: map[int]int{0: 2}}, false},
+		{"capacity-drop", nil,
+			system.Task{Proc: 0, Need: 8}, system.Task{Proc: 0, Needs: map[int]int{0: 8}}, true},
+	}
+	run := func(t *testing.T, types []int, task system.Task, drop bool) error {
+		s := newScheduler(t, Config{
+			Shards:     []system.Config{{Net: topology.Omega(8), Discipline: system.Hetero, Types: types}},
+			FlushEvery: 200 * time.Microsecond,
+		})
+		var blocker *Handle
+		if drop {
+			// A provisioned blocker keeps the task acquiring; failing its
+			// (latent) unit drops usable capacity below the task's demand.
+			blocker = provision(t, s, 0, system.Task{Proc: 1})
+		}
+		h, err := s.Submit(0, task)
+		if err != nil {
+			return err
+		}
+		if drop {
+			if err := s.FailResource(0, blocker.Resources()[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitDone(t, h, "task")
+		if h.Err() == nil {
+			if err := s.EndService(h); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return h.Err()
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			es := run(t, c.types, c.scalar, c.drop)
+			ev := run(t, c.types, c.vector, c.drop)
+			if fmt.Sprint(es) != fmt.Sprint(ev) {
+				t.Fatalf("scalar err %v, vector err %v", es, ev)
+			}
+			if wantErr := c.name != "admission/untyped-type"; (es != nil) != wantErr ||
+				(es != nil && !errors.Is(es, system.ErrUnsatisfiable)) {
+				t.Fatalf("err %v, want ErrUnsatisfiable: %v", es, wantErr)
+			}
+		})
 	}
 }

@@ -236,14 +236,9 @@ func (s *System) severBroken() []TaskID {
 // the holder slot. The resource returns to the schedulable pool only if
 // it is itself healthy (Cycle skips failed resources).
 func (s *System) revokeUnit(t *taskState, r int) {
-	for i, held := range t.held {
-		if held == r {
+	for i, u := range t.held {
+		if u.res == r {
 			t.held = append(t.held[:i], t.held[i+1:]...)
-			if t.heldTyp != nil {
-				// Lockstep: the unit's type charge leaves with it, so the
-				// re-request goes against the right commodity.
-				t.heldTyp = append(t.heldTyp[:i], t.heldTyp[i+1:]...)
-			}
 			break
 		}
 	}

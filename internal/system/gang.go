@@ -44,18 +44,17 @@ type gangState struct {
 // requests a resource until the whole gang is activated by the banker's
 // admission gate. Members must use distinct processors (each holds its
 // port for the gang's duration) and each must pass the ordinary task
-// validation; the gang's combined demand must fit the usable-capacity
-// census (per type when Config.Types is set) or SubmitGang fails with an
-// error wrapping ErrUnsatisfiable. Returns the gang ID and the member
+// validation; the gang's combined demand vector must fit the
+// usable-capacity census per type or SubmitGang fails with an error
+// wrapping ErrUnsatisfiable. Returns the gang ID and the member
 // task IDs, in member order.
 func (s *System) SubmitGang(members []Task) (GangID, []TaskID, error) {
 	if len(members) < 2 {
 		return 0, nil, fmt.Errorf("system: a gang needs at least 2 members, got %d", len(members))
 	}
 	seenProc := make(map[int]bool, len(members))
-	needByType := map[int]int{}
-	norm := make([]Task, len(members))
-	anyTyped := false
+	demands := make([]Demand, len(members))
+	var total Demand
 	for i, t := range members {
 		if t.Proc < 0 || t.Proc >= s.net.Procs {
 			return 0, nil, fmt.Errorf("system: gang member %d: processor %d out of range", i, t.Proc)
@@ -63,58 +62,25 @@ func (s *System) SubmitGang(members []Task) (GangID, []TaskID, error) {
 		if err := ValidateTask(t, s.net.Ress); err != nil {
 			return 0, nil, fmt.Errorf("system: gang member %d: %w", i, err)
 		}
-		t = s.normalizeTask(t)
-		if t.Needs != nil {
-			anyTyped = true
-		}
 		if seenProc[t.Proc] {
 			return 0, nil, fmt.Errorf("system: gang members must use distinct processors (processor %d repeated)", t.Proc)
 		}
 		seenProc[t.Proc] = true
-		for ty, n := range t.NeedByType() {
-			needByType[ty] += n
-		}
-		norm[i] = t
+		demands[i] = Lower(t, s.cfg.Types)
+		total = total.Plus(demands[i])
 	}
-	// Gang admission: the combined demand must fit the usable census —
-	// members hold their units together, so the whole sum must be
-	// simultaneously satisfiable on the surviving fabric. A gang with any
-	// typed member is checked per type even on an untyped fabric (where the
-	// census stocks only type 0): a typed demand the deployment cannot
-	// stock must fail loudly, not pend forever.
-	usable := s.usableResources()
-	if s.typeCount == nil && !anyTyped {
-		tot, need := 0, 0
-		for _, c := range usable {
-			tot += c
-		}
-		for _, n := range needByType {
-			need += n
-		}
-		if need > tot {
-			s.o.unsat.Inc()
-			s.event(evUnsat, 0, int64(need), "")
-			return 0, nil, fmt.Errorf("system: gang needs %d resources together, fabric has %d usable: %w",
-				need, tot, ErrUnsatisfiable)
-		}
-	} else {
-		for ty, need := range needByType {
-			if need > usable[ty] {
-				s.o.unsat.Inc()
-				s.event(evUnsat, 0, int64(need), "")
-				return 0, nil, fmt.Errorf("system: gang needs %d resources of type %d together, fabric has %d usable: %w",
-					need, ty, usable[ty], ErrUnsatisfiable)
-			}
-		}
+	// Gang admission: the combined demand must fit the usable census per
+	// type — members hold their units together, so the whole sum must be
+	// simultaneously satisfiable on the surviving fabric.
+	if err := total.Check(s.usableResources()); err != nil {
+		s.rejectUnsat(total)
+		return 0, nil, fmt.Errorf("system: gang %w", err)
 	}
 	s.nextGang++
 	gid := s.nextGang
-	g := &gangState{id: gid, members: make([]TaskID, len(norm))}
-	for i, t := range norm {
-		s.nextID++
-		id := s.nextID
-		s.tasks[id] = &taskState{id: id, task: t}
-		s.queues[t.Proc] = append(s.queues[t.Proc], id)
+	g := &gangState{id: gid, members: make([]TaskID, len(members))}
+	for i, t := range members {
+		id := s.enqueue(t, demands[i])
 		s.gangOf[id] = gid
 		g.members[i] = id
 	}
@@ -267,13 +233,12 @@ func (s *System) resetGang(g *gangState) []TaskID {
 			s.transmitting[p] = -1
 			s.severedProc[p] = true
 		}
-		for _, r := range t.held {
-			if s.resHolder[r] == id {
-				s.resHolder[r] = -1
+		for _, u := range t.held {
+			if s.resHolder[u.res] == id {
+				s.resHolder[u.res] = -1
 			}
 		}
 		t.held = t.held[:0]
-		t.heldTyp = t.heldTyp[:0]
 		// Re-enqueue members that left their queue when they provisioned.
 		// Queue membership is the test — not remaining()==0 — because the
 		// fault path revokes units before the reset runs: a provisioned
@@ -398,9 +363,9 @@ func (s *System) EndGangService(gid GangID) error {
 	}
 	for _, id := range g.members {
 		t := s.tasks[id]
-		for _, r := range t.held {
-			if s.resHolder[r] == id {
-				s.resHolder[r] = -1
+		for _, u := range t.held {
+			if s.resHolder[u.res] == id {
+				s.resHolder[u.res] = -1
 			}
 		}
 		delete(s.tasks, id)

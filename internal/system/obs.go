@@ -11,7 +11,7 @@ const (
 	evSever    = "sever"    // a circuit was severed; Task, Val = resource
 	evSeverAck = "severack" // EndTransmission acknowledged a sever (retry path)
 	evPreempt  = "preempt"  // a held unit was preempted; Task = victim, Val = resource
-	evUnsat    = "unsat"    // admission rejected a task; Val = its Need
+	evUnsat    = "unsat"    // admission rejected a task or gang; Val = its total demand
 	evHwFault  = "hwfault"  // a component failed; Val = index, Result = class
 	evHwRepair = "hwrepair" // a component was repaired; Val = index, Result = class
 

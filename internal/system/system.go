@@ -27,8 +27,8 @@ import (
 )
 
 // ErrUnsatisfiable is wrapped by Submit when a task's declared demand can
-// never be met by the fabric — its Need exceeds the total resource count,
-// or (with Config.Types set) the count of resources of its own type.
+// never be met by the fabric: some type of its demand vector (see Lower)
+// asks for more units than the usable census of that type holds.
 // Admitting such a task would wedge the system instead: the banker's
 // policy defers it forever, and AvoidanceNone lets it hold units it can
 // never complete with (the §II hold-and-wait deadlock, made permanent).
@@ -86,15 +86,6 @@ type Config struct {
 	Preferences []int64
 	// Types assigns a resource type per resource (Hetero); nil = all 0.
 	Types []int
-	// ColdSolve disables the incremental warm-start solvers, rebuilding
-	// the flow network from scratch every cycle (the pre-warm-start
-	// behavior). The default, false, keeps a persistent arena in the
-	// planner between cycles: residual flow for the MaxFlow discipline,
-	// the previous epoch's simplex basis for MinCost. The mapping quality
-	// is identical either way (every engine is optimal per Theorems 2/3)
-	// — only which equal-objective assignment gets picked may differ.
-	// Other disciplines ignore this knob.
-	ColdSolve bool
 	// FaultHook, when non-nil, is consulted at the named fault points
 	// (FaultCycle, FaultEndTransmission). A non-nil return makes that
 	// operation fail with the hook's error before it mutates any state.
@@ -173,57 +164,34 @@ type Task struct {
 	// sum of the requesting tasks' weights for it (see DESIGN.md §13).
 	// Nil means no per-task weighting.
 	Prefs []int64
-	Type  int
-	Need  int // resources required; 0 is treated as 1
+	// Type is the resource type of a scalar task's units. It names a type
+	// only on a fabric with Config.Types; on an untyped fabric every
+	// resource is type 0 and so is the task's demand (see Lower).
+	Type int
+	Need int // resources required; 0 is treated as 1
 	// Needs, when non-nil, declares a typed demand vector: Needs[ty] units
 	// of each resource type ty, acquired one unit per cycle like any
 	// multi-unit task (lowest-numbered type first). It is mutually
 	// exclusive with the scalar Need/Type pair — setting both fails
 	// ValidateTask with ErrBadTask — and every entry must be positive.
-	// The legacy scalar form is exactly the one-type special case.
+	// The scalar form is exactly the one-type special case: both lower to
+	// the same Demand.
 	Needs map[int]int
-}
-
-// NeedByType reports the task's demand per resource type: a copy of Needs
-// when set, otherwise the scalar form normalized to {Type: max(Need, 1)}.
-func (t Task) NeedByType() map[int]int {
-	if t.Needs != nil {
-		out := make(map[int]int, len(t.Needs))
-		for ty, n := range t.Needs {
-			out[ty] = n
-		}
-		return out
-	}
-	n := t.Need
-	if n <= 0 {
-		n = 1
-	}
-	return map[int]int{t.Type: n}
-}
-
-// TotalNeed reports the task's total unit demand across all types.
-func (t Task) TotalNeed() int {
-	if t.Needs != nil {
-		total := 0
-		for _, n := range t.Needs {
-			total += n
-		}
-		return total
-	}
-	if t.Need <= 0 {
-		return 1
-	}
-	return t.Need
 }
 
 type taskState struct {
 	id   TaskID
 	task Task
-	held []int // resources acquired so far
-	// heldTyp[i] is the declared type held[i] was charged to. Nil for
-	// scalar tasks (every unit is task.Type); kept in lockstep with held
-	// for typed tasks by the grant, revoke and reset paths.
-	heldTyp []int
+	need Demand     // the lowered demand vector (see Lower)
+	held []heldUnit // units acquired so far
+}
+
+// heldUnit is one acquired resource and the demand type it was charged to:
+// the type the task requested on the cycle that granted it. A revoked unit
+// takes its charge with it, so the re-request goes against the right type.
+type heldUnit struct {
+	res int
+	typ int
 }
 
 // CycleResult reports one scheduling cycle.
@@ -256,7 +224,6 @@ type System struct {
 	resHolder    []TaskID // per resource: holding task, or -1
 	transmitting []TaskID // per processor: task currently holding a circuit, or -1
 	circuits     map[TaskID][]topology.Circuit
-	typeCount    map[int]int // resources per configured type; nil when Types is nil
 
 	// Hardware fault bookkeeping: severedProc[p] marks a transmission
 	// torn down by a fault and not yet acknowledged via EndTransmission;
@@ -313,12 +280,6 @@ func New(cfg Config) (*System, error) {
 	for i := range s.transmitting {
 		s.transmitting[i] = -1
 	}
-	if cfg.Types != nil {
-		s.typeCount = make(map[int]int)
-		for _, ty := range cfg.Types {
-			s.typeCount[ty]++
-		}
-	}
 	s.o = newSysObs(cfg.Obs, cfg.ObsShard)
 	if cfg.Obs != nil {
 		s.tokenOpts = &token.Options{Obs: cfg.Obs}
@@ -334,88 +295,34 @@ func (s *System) Submit(t Task) (TaskID, error) {
 	if err := ValidateTask(t, s.net.Ress); err != nil {
 		return 0, err
 	}
-	t = s.normalizeTask(t)
-	if t.Needs != nil {
-		// Typed admission goes per type against the usable census (equal to
-		// the configured census on a healthy fabric): a demand no surviving
-		// resource set can cover — including a type this deployment simply
-		// does not stock — must be rejected now, or the banker defers the
-		// task forever and it wedges its queue.
-		usable := s.usableResources()
-		for ty, n := range t.Needs {
-			if n > usable[ty] {
-				s.rejectUnsat(t)
-				return 0, fmt.Errorf("system: task needs %d resources of type %d, fabric has %d usable: %w",
-					n, ty, usable[ty], ErrUnsatisfiable)
-			}
-		}
-	} else {
-		if t.Need > s.net.Ress {
-			s.rejectUnsat(t)
-			return 0, fmt.Errorf("system: task needs %d resources, system has %d: %w", t.Need, s.net.Ress, ErrUnsatisfiable)
-		}
-		if s.typeCount != nil && t.Need > s.typeCount[t.Type] {
-			s.rejectUnsat(t)
-			return 0, fmt.Errorf("system: task needs %d resources of type %d, system has %d: %w",
-				t.Need, t.Type, s.typeCount[t.Type], ErrUnsatisfiable)
-		}
-		if s.net.HasFaults() {
-			// Degraded admission: demand must also fit the surviving fabric.
-			// A resource lost to a fault (or stranded behind a failed
-			// switchbox) cannot complete anyone's acquisition until repaired,
-			// and admitting a task it can never finish wedges the queue.
-			usable := s.usableResources()
-			if s.typeCount == nil {
-				tot := 0
-				for _, c := range usable {
-					tot += c
-				}
-				if t.Need > tot {
-					s.rejectUnsat(t)
-					return 0, fmt.Errorf("system: task needs %d resources, surviving fabric has %d usable: %w",
-						t.Need, tot, ErrUnsatisfiable)
-				}
-			} else if t.Need > usable[t.Type] {
-				s.rejectUnsat(t)
-				return 0, fmt.Errorf("system: task needs %d resources of type %d, surviving fabric has %d usable: %w",
-					t.Need, t.Type, usable[t.Type], ErrUnsatisfiable)
-			}
-		}
+	d := Lower(t, s.cfg.Types)
+	// Admission goes per type against the usable census (equal to the
+	// configured census on a healthy fabric): a demand no surviving
+	// resource set can cover — including a type this deployment simply does
+	// not stock — must be rejected now, or the banker defers the task
+	// forever and it wedges its queue.
+	if err := d.Check(s.usableResources()); err != nil {
+		s.rejectUnsat(d)
+		return 0, fmt.Errorf("system: task %w", err)
 	}
-	s.nextID++
-	id := s.nextID
-	s.tasks[id] = &taskState{id: id, task: t}
-	s.queues[t.Proc] = append(s.queues[t.Proc], id)
-	return id, nil
+	return s.enqueue(t, d), nil
 }
 
-// normalizeTask canonicalizes a validated task for internal bookkeeping: a
-// typed task gets a defensive copy of its Needs vector (the caller keeps its
-// map) and Need set to the vector total so remaining() counts all types; a
-// scalar task gets the 0-means-1 default.
-func (s *System) normalizeTask(t Task) Task {
-	if t.Needs != nil {
-		needs := make(map[int]int, len(t.Needs))
-		total := 0
-		for ty, n := range t.Needs {
-			needs[ty] = n
-			total += n
-		}
-		t.Needs = needs
-		t.Need = total
-		return t
-	}
-	if t.Need <= 0 {
-		t.Need = 1
-	}
-	return t
+// enqueue admits a task with its lowered demand: it gets the next ID and
+// joins the back of its processor's queue.
+func (s *System) enqueue(t Task, d Demand) TaskID {
+	s.nextID++
+	id := s.nextID
+	s.tasks[id] = &taskState{id: id, task: t, need: d}
+	s.queues[t.Proc] = append(s.queues[t.Proc], id)
+	return id
 }
 
 // rejectUnsat records an admission rejection (an ErrUnsatisfiable return
-// from Submit) in the observability layer.
-func (s *System) rejectUnsat(t Task) {
+// from Submit or SubmitGang) in the observability layer.
+func (s *System) rejectUnsat(d Demand) {
 	s.o.unsat.Inc()
-	s.event(evUnsat, 0, int64(t.Need), "")
+	s.event(evUnsat, 0, int64(d.Total()), "")
 }
 
 // resType reports the configured type of a resource.
@@ -434,21 +341,14 @@ func (s *System) headTask(p int) *taskState {
 	return s.tasks[s.queues[p][0]]
 }
 
-// remaining reports how many more resources a task needs across all types
-// (admission normalized Need to the vector total for typed tasks).
-func (t *taskState) remaining() int { return t.task.Need - len(t.held) }
+// remaining reports how many more resources a task needs across all types.
+func (t *taskState) remaining() int { return t.need.Total() - len(t.held) }
 
 // heldOf counts the units the task holds charged to one type.
 func (t *taskState) heldOf(ty int) int {
-	if t.task.Needs == nil {
-		if ty == t.task.Type {
-			return len(t.held)
-		}
-		return 0
-	}
 	n := 0
-	for _, h := range t.heldTyp {
-		if h == ty {
+	for _, u := range t.held {
+		if u.typ == ty {
 			n++
 		}
 	}
@@ -456,48 +356,28 @@ func (t *taskState) heldOf(ty int) int {
 }
 
 // remainingOf reports the task's outstanding demand for one type.
-func (t *taskState) remainingOf(ty int) int {
-	if t.task.Needs == nil {
-		if ty == t.task.Type {
-			return t.remaining()
-		}
-		return 0
-	}
-	return t.task.Needs[ty] - t.heldOf(ty)
-}
+func (t *taskState) remainingOf(ty int) int { return t.need.Of(ty) - t.heldOf(ty) }
 
 // reqType picks the type of the next unit the task requests: the
-// lowest-numbered type with outstanding demand, so a typed acquisition is
-// deterministic across cycles. Scalar tasks always request their Type.
+// lowest-numbered type with outstanding demand (the vector is sorted), so
+// the acquisition order is deterministic across cycles.
 func (t *taskState) reqType() int {
-	if t.task.Needs == nil {
-		return t.task.Type
-	}
-	best, found := 0, false
-	for ty := range t.task.Needs {
-		if t.remainingOf(ty) <= 0 {
-			continue
-		}
-		if !found || ty < best {
-			best, found = ty, true
+	for _, e := range t.need {
+		if e.N > t.heldOf(e.Type) {
+			return e.Type
 		}
 	}
-	return best
+	return 0
 }
 
 // entityAdd accumulates the task's per-type remaining demand and holdings
 // into a banker's entity (the shared body of the hypothetical snapshot and
 // the gang composite candidate).
 func (t *taskState) entityAdd(e *hypoEntity) {
-	if t.task.Needs == nil {
-		e.rem[t.task.Type] += t.remaining()
-		e.held[t.task.Type] += len(t.held)
-		return
-	}
-	for ty, n := range t.task.Needs {
-		h := t.heldOf(ty)
-		e.rem[ty] += n - h
-		e.held[ty] += h
+	for _, d := range t.need {
+		h := t.heldOf(d.Type)
+		e.rem[d.Type] += d.N - h
+		e.held[d.Type] += h
 	}
 }
 
@@ -818,20 +698,12 @@ func (s *System) cycle() (*CycleResult, error) {
 	var err error
 	switch s.cfg.Discipline {
 	case MaxFlow:
-		if s.cfg.ColdSolve {
-			m, err = s.planner.ScheduleMaxFlow(s.net, reqs, avail)
-		} else {
-			m, err = s.planner.ScheduleIncremental(s.net, reqs, avail)
-		}
+		m, err = s.planner.ScheduleIncremental(s.net, reqs, avail)
 	case MinCost:
-		if s.cfg.ColdSolve {
-			m, err = core.ScheduleMinCost(s.net, reqs, avail)
-		} else {
-			// Warm-basis network simplex: the planner keeps the previous
-			// epoch's optimal basis and falls back cold on fault-epoch
-			// changes or divergence (see core.ScheduleMinCostIncremental).
-			m, err = s.planner.ScheduleMinCostIncremental(s.net, reqs, avail)
-		}
+		// Warm-basis network simplex: the planner keeps the previous
+		// epoch's optimal basis and falls back cold on fault-epoch changes
+		// or divergence (see core.ScheduleMinCostIncremental).
+		m, err = s.planner.ScheduleMinCostIncremental(s.net, reqs, avail)
 	case Hetero:
 		m, err = core.ScheduleHetero(s.net, reqs, avail, s.cfg.Hetero)
 	case TokenArch:
@@ -867,13 +739,8 @@ func (s *System) cycle() (*CycleResult, error) {
 		if t == nil {
 			return nil, fmt.Errorf("system: allocation for idle processor %d", a.Req.Proc)
 		}
-		if t.task.Needs != nil {
-			// Charge the unit to the type the task requested this cycle
-			// (computed before held grows — reqType reads the lockstep
-			// slices).
-			t.heldTyp = append(t.heldTyp, t.reqType())
-		}
-		t.held = append(t.held, a.Res)
+		// Charge the unit to the type the task requested this cycle.
+		t.held = append(t.held, heldUnit{res: a.Res, typ: t.reqType()})
 		s.resHolder[a.Res] = t.id
 		s.transmitting[a.Req.Proc] = t.id
 		s.severedProc[a.Req.Proc] = false // a fresh grant supersedes an unacknowledged sever
@@ -962,8 +829,8 @@ func (s *System) cancelTask(id TaskID) error {
 		s.transmitting[p] = -1
 	}
 	s.severedProc[p] = false // withdrawing the task retires any unacknowledged sever
-	for _, r := range t.held {
-		s.resHolder[r] = -1
+	for _, u := range t.held {
+		s.resHolder[u.res] = -1
 	}
 	for i, qid := range s.queues[p] {
 		if qid == id {
@@ -994,8 +861,8 @@ func (s *System) EndService(id TaskID) error {
 	if s.transmitting[t.task.Proc] == id {
 		return fmt.Errorf("system: task %d is still transmitting", id)
 	}
-	for _, r := range t.held {
-		s.resHolder[r] = -1
+	for _, u := range t.held {
+		s.resHolder[u.res] = -1
 	}
 	delete(s.tasks, id)
 	delete(s.circuits, id)
@@ -1005,10 +872,14 @@ func (s *System) EndService(id TaskID) error {
 // Holding reports the resources currently held by a task.
 func (s *System) Holding(id TaskID) []int {
 	t, ok := s.tasks[id]
-	if !ok {
+	if !ok || len(t.held) == 0 {
 		return nil
 	}
-	return append([]int(nil), t.held...)
+	out := make([]int, len(t.held))
+	for i, u := range t.held {
+		out[i] = u.res
+	}
+	return out
 }
 
 // Remaining reports how many more resources a task must acquire before it
@@ -1073,10 +944,9 @@ func (s *System) Deadlocked() bool {
 		if head != t {
 			continue
 		}
-		// A typed task makes progress if ANY type it still needs has a free
-		// unit; scalar tasks reduce to their single type.
-		for ty, n := range freeByType {
-			if n > 0 && t.remainingOf(ty) > 0 {
+		// The task makes progress if ANY type it still needs has a free unit.
+		for _, e := range t.need {
+			if freeByType[e.Type] > 0 && t.remainingOf(e.Type) > 0 {
 				return false // a cycle could grant it (ignoring link blockage)
 			}
 		}

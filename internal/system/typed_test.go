@@ -75,7 +75,7 @@ func TestTypedNeedsUnsatisfiable(t *testing.T) {
 
 // TestTypedSequentialAcquisition: a {0:1, 1:2} task acquires one unit per
 // cycle, lowest type first, each grant landing on a resource of the
-// requested type, with the heldTyp charge ledger in lockstep.
+// requested type, and each held unit carrying the type it was charged to.
 func TestTypedSequentialAcquisition(t *testing.T) {
 	types := []int{0, 0, 1, 1, 0, 0, 1, 1}
 	s, err := New(Config{Net: topology.Omega(8), Discipline: Hetero, Types: types})
@@ -101,8 +101,8 @@ func TestTypedSequentialAcquisition(t *testing.T) {
 		}
 	}
 	st := s.tasks[id]
-	if len(st.heldTyp) != 3 || st.heldTyp[0] != 0 || st.heldTyp[1] != 1 || st.heldTyp[2] != 1 {
-		t.Fatalf("heldTyp ledger %v, want [0 1 1]", st.heldTyp)
+	if len(st.held) != 3 || st.held[0].typ != 0 || st.held[1].typ != 1 || st.held[2].typ != 1 {
+		t.Fatalf("held-unit type charges %v, want types [0 1 1]", st.held)
 	}
 	if st.remaining() != 0 || st.remainingOf(0) != 0 || st.remainingOf(1) != 0 {
 		t.Fatalf("remaining %d / per-type %d,%d after full acquisition",
@@ -218,8 +218,8 @@ func TestTypedRevokeLockstep(t *testing.T) {
 	if len(affected) != 1 || affected[0] != id {
 		t.Fatalf("affected %v, want [%d]", affected, id)
 	}
-	if len(st.held) != 0 || len(st.heldTyp) != 0 {
-		t.Fatalf("held/heldTyp not in lockstep after revoke: %v / %v", st.held, st.heldTyp)
+	if len(st.held) != 0 {
+		t.Fatalf("held units %v after revoke, want none", st.held)
 	}
 	if st.remainingOf(0) != 1 || st.remainingOf(1) != 1 {
 		t.Fatalf("per-type remaining %d,%d after revoke, want 1,1", st.remainingOf(0), st.remainingOf(1))
